@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test fmt check bench simbench servebench searchbench servesmoke fuzz lint-examples
+.PHONY: all build test fmt check bench simbench servebench searchbench tunebench servesmoke fuzz lint-examples
 
 all: build
 
@@ -53,6 +53,14 @@ servebench:
 # of the surrogate's own cold probes-to-best.
 searchbench:
 	dune exec bench/main.exe -- --exp searchbench --no-store
+
+# The repository benchmark (BENCHMARK.json): one tunebench workload,
+# W = tune-oc | tune-l2 | tune-oc-sampled | serve-mix.  Metrics go to
+# stderr; the last stdout line is the JSON result, whose "correct"
+# field reports the reference and bit-identity checks.
+W ?= tune-oc
+tunebench:
+	sh tunebench/run.sh --workload $(W) --seed 1 --seconds 25 --trace 0
 
 # Tuning-service smoke: daemon on a Unix socket, cold tune, warm
 # lookup (must be a cache hit), stat, graceful shutdown — every step

@@ -857,15 +857,6 @@ let serve_cmd =
             "shared worker-domain pool: every in-flight tune's probe batches run on \
              these $(docv) domains; replies stay bit-identical to --jobs 1")
   in
-  let replica =
-    Arg.(
-      value & flag
-      & info [ "replica" ]
-          ~doc:
-            "share the store directory with other daemons: appends stay safe \
-             (single-line O_APPEND writes) and lookup misses re-read the journal \
-             tail before being conceded")
-  in
   let max_bytes =
     Arg.(
       value
@@ -881,13 +872,12 @@ let serve_cmd =
           ~doc:"evict entries not re-journaled within $(docv) seconds")
   in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"no event log on stderr") in
-  let run listen store_dir shards jobs replica max_bytes max_age quiet =
+  let run listen store_dir shards jobs max_bytes max_age quiet =
     let log =
       if quiet then ignore else fun line -> Printf.eprintf "ifko serve: %s\n%!" line
     in
     Ifko.Serve.Server.run
-      { Ifko.Serve.Server.listen; store_dir; shards; jobs; replica; max_bytes;
-        max_age; log }
+      { Ifko.Serve.Server.listen; store_dir; shards; jobs; max_bytes; max_age; log }
   in
   Cmd.v
     (Cmd.info "serve"
@@ -896,8 +886,8 @@ let serve_cmd =
           (tune, lookup, stat, compact, shutdown), concurrent clients multiplexed \
           onto one sharded probe store and one domain pool")
     Term.(
-      const run $ listen_args $ store_dir $ shards $ jobs $ replica $ max_bytes
-      $ max_age $ quiet)
+      const run $ listen_args $ store_dir $ shards $ jobs $ max_bytes $ max_age
+      $ quiet)
 
 let query_cmd =
   let fail msg =

@@ -13,27 +13,12 @@ let vector ~seed ~which ~prec n =
    are handed out read-only: [make_env] copies them into the simulated
    memory and [expectation] (which mutates its vectors in place) keeps
    calling [vector] directly. *)
-let vector_cache : (int * int * Instr.fsize * int, float array) Hashtbl.t =
-  Hashtbl.create 32
-
-let vector_mutex = Mutex.create ()
+let vectors : (int * int * Instr.fsize * int, float array) Ifko_util.Memo.t =
+  Ifko_util.Memo.create ()
 
 let vector_memo ~seed ~which ~prec n =
-  let key = (seed, which, prec, n) in
-  Mutex.lock vector_mutex;
-  let v =
-    match Hashtbl.find_opt vector_cache key with
-    | Some v -> v
-    | None ->
-      let v = vector ~seed ~which ~prec n in
-      (* the cache is bounded by the handful of window sizes a run
-         uses; drop everything if it somehow grows past that *)
-      if Hashtbl.length vector_cache > 256 then Hashtbl.reset vector_cache;
-      Hashtbl.replace vector_cache key v;
-      v
-  in
-  Mutex.unlock vector_mutex;
-  v
+  Ifko_util.Memo.find_or_compute vectors (seed, which, prec, n) (fun () ->
+      vector ~seed ~which ~prec n)
 
 let mem_bytes_for ~prec n =
   (* two arrays, page alignment slack, stack, prefetch headroom; the

@@ -1,4 +1,4 @@
-(* Single-flight memo of compiled probe candidates.
+(* Compiled probe candidates.
 
    Producing a runnable candidate is three expensive steps — transform
    pipeline ([Pipeline.apply]), semantic test (reference-vs-candidate
@@ -15,43 +15,14 @@
    Keys must capture everything the outcome depends on: the kernel
    fingerprint, the machine (the pipeline consumes its line size), the
    canonical params, the per-pass-check flag, and the workload seed
-   (the semantic test runs seeded workloads).  The provided compute
-   function must be a pure function of that key — the same contract as
-   the probe store's.
-
-   Single-flight: concurrent misses on one key run the compute once,
-   with the other callers blocking until the result lands.  A compute
-   that raises (a [Passcheck.Pass_failed] must fail the tune, never be
-   cached) clears the in-flight marker and wakes waiters to claim the
-   key themselves. *)
+   (the semantic test runs seeded workloads). *)
 
 type result =
   | Illegal
   | Test_failed
   | Compiled of Cfg.func * Ifko_sim.Exec.compiled
 
-type cell = Done of result | Running
-
-type t = {
-  tbl : (string, cell) Hashtbl.t;
-  mutex : Mutex.t;
-  cond : Condition.t;
-  max_entries : int;
-  mutable n_hit : int;
-  mutable n_miss : int;
-}
-
-type stats = { hits : int; misses : int }
-
-let create ?(max_entries = 4096) () =
-  {
-    tbl = Hashtbl.create 64;
-    mutex = Mutex.create ();
-    cond = Condition.create ();
-    max_entries;
-    n_hit = 0;
-    n_miss = 0;
-  }
+type t = (string, result) Ifko_util.Memo.t
 
 let key ~kernel ~machine ~params ~check ~seed =
   Ifko_store.Store.digest
@@ -63,56 +34,3 @@ let key ~kernel ~machine ~params ~check ~seed =
       (if check then "check" else "nocheck");
       string_of_int seed;
     ]
-
-(* Evict only completed entries: wiping an in-flight marker would make
-   its waiters recompute work that is already running.  The cap is a
-   backstop for daemon lifetimes, far above any one tune's candidate
-   count. *)
-let evict_done t =
-  let running =
-    Hashtbl.fold (fun k c acc -> match c with Running -> (k, c) :: acc | Done _ -> acc)
-      t.tbl []
-  in
-  Hashtbl.reset t.tbl;
-  List.iter (fun (k, c) -> Hashtbl.add t.tbl k c) running
-
-let find_or_compile t ~key f =
-  Mutex.lock t.mutex;
-  let rec claim () =
-    match Hashtbl.find_opt t.tbl key with
-    | Some (Done r) ->
-      t.n_hit <- t.n_hit + 1;
-      Mutex.unlock t.mutex;
-      `Hit r
-    | Some Running ->
-      Condition.wait t.cond t.mutex;
-      claim ()
-    | None ->
-      t.n_miss <- t.n_miss + 1;
-      if Hashtbl.length t.tbl >= t.max_entries then evict_done t;
-      Hashtbl.replace t.tbl key Running;
-      Mutex.unlock t.mutex;
-      `Compute
-  in
-  match claim () with
-  | `Hit r -> r
-  | `Compute -> (
-    match f () with
-    | exception e ->
-      Mutex.lock t.mutex;
-      Hashtbl.remove t.tbl key;
-      Condition.broadcast t.cond;
-      Mutex.unlock t.mutex;
-      raise e
-    | r ->
-      Mutex.lock t.mutex;
-      Hashtbl.replace t.tbl key (Done r);
-      Condition.broadcast t.cond;
-      Mutex.unlock t.mutex;
-      r)
-
-let stats t =
-  Mutex.lock t.mutex;
-  let s = { hits = t.n_hit; misses = t.n_miss } in
-  Mutex.unlock t.mutex;
-  s

@@ -1,18 +1,15 @@
-(** Single-flight memo of compiled probe candidates.
+(** Compiled probe candidates, memoized in an {!Ifko_util.Memo}.
 
     [Driver.tune] produces each candidate by transform pipeline +
-    semantic test + decode; this cache keys the finished product by
+    semantic test + decode; the memo keys the finished product by
     (kernel fingerprint, machine, canonical params, check flag, seed)
     so calibration points, multi-size sweeps, fidelity comparisons and
     concurrent serve tunes stop re-doing identical work.  Decoded
     closures are immutable — per-run register/memory state is
     allocated inside [Exec.exec] — so sharing them across domains and
-    tunes is safe.
-
-    Concurrent misses on one key run the compute exactly once; other
-    callers block until the result lands.  Exceptions from the compute
-    (notably [Passcheck.Pass_failed], which must fail the tune) are
-    never cached: the in-flight marker is cleared and waiters retry. *)
+    tunes is safe.  Exceptions from the compute (notably
+    [Passcheck.Pass_failed], which must fail the tune) are never
+    cached. *)
 
 type result =
   | Illegal  (** the transform pipeline rejected the point *)
@@ -20,22 +17,10 @@ type result =
   | Compiled of Cfg.func * Ifko_sim.Exec.compiled
       (** transformed function plus its decoded form, ready to time *)
 
-type t
-
-type stats = { hits : int; misses : int }
-
-val create : ?max_entries:int -> unit -> t
-(** [max_entries] bounds the table (default 4096 — a daemon backstop,
-    far above one tune's candidate count); completed entries are
-    evicted wholesale when it fills, in-flight ones never. *)
+type t = (string, result) Ifko_util.Memo.t
+(** Filled with {!Ifko_util.Memo.find_or_compute}. *)
 
 val key : kernel:string -> machine:string -> params:string -> check:bool -> seed:int -> string
 (** Digest of everything a candidate's compilation outcome depends
     on.  [params] must be the canonical rendering
     ([Params.canonical]). *)
-
-val find_or_compile : t -> key:string -> (unit -> result) -> result
-(** Return the cached result for [key], or run [f] (single-flight) and
-    cache it.  [f] must be a pure function of [key]. *)
-
-val stats : t -> stats

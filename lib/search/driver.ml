@@ -97,12 +97,11 @@ let tune ?(extensions = false) ?(check_each_pass = false) ?(strategy = Linesearc
      unchecked — at the end, and callers that pass a longer-lived
      cache (multi-size sweeps, fidelity comparisons, the serve daemon)
      share candidates across whole tunes. *)
-  let codecache = match codecache with Some c -> c | None -> Codecache.create () in
+  let codecache = match codecache with Some c -> c | None -> Ifko_util.Memo.create () in
   let candidate params =
-    Codecache.find_or_compile codecache
-      ~key:
-        (Codecache.key ~kernel ~machine:cfg.Config.name
-           ~params:(Ifko_transform.Params.canonical params) ~check:check_each_pass ~seed)
+    Ifko_util.Memo.find_or_compute codecache
+      (Codecache.key ~kernel ~machine:cfg.Config.name
+         ~params:(Ifko_transform.Params.canonical params) ~check:check_each_pass ~seed)
       (fun () ->
         match compile_point ?check ~cfg compiled params with
         | exception (Ifko_transform.Passcheck.Pass_failed _ as broken) ->

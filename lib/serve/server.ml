@@ -30,7 +30,6 @@ type config = {
   store_dir : string;
   shards : int;
   jobs : int;
-  replica : bool;
   max_bytes : int option;  (** whole-store eviction budget *)
   max_age : float option;  (** seconds; entries older are evictable *)
   log : string -> unit;
@@ -42,7 +41,6 @@ let default_config ~store_dir listen =
     store_dir;
     shards = 8;
     jobs = 1;
-    replica = false;
     max_bytes = None;
     max_age = None;
     log = ignore;
@@ -60,8 +58,6 @@ let context_of = function
 
 (* ---------------- server state ---------------- *)
 
-type tune_cell = { mutable result : (Proto.tune_reply, string) result option }
-
 type t = {
   cfg : config;
   store : Shard_store.t;
@@ -70,11 +66,13 @@ type t = {
   started : float;
   wake_wr : Unix.file_descr;  (* self-pipe: unblocks the accept select *)
   mu : Mutex.t;
-  cv : Condition.t;
+  cv : Condition.t;  (* signalled when a connection thread exits *)
   mutable stopping : bool;
   mutable active : int;  (* live connection threads *)
   conns : (Unix.file_descr, unit) Hashtbl.t;
-  tune_flight : (string, tune_cell) Hashtbl.t;
+  tunes : (string, (Proto.tune_reply, string) result) Ifko_util.Memo.t;
+      (* whole-tune flights; the store journals finished tunes, so the
+         memo only coalesces overlapping requests *)
   codecache : Codecache.t;
       (* daemon-wide: distinct in-flight tunes (same kernel, different
          N / context / fidelity) compile each candidate once *)
@@ -82,7 +80,6 @@ type t = {
       (* per machine name, created on first use; persisted under
          store_dir/ckpt-<machine> so warm states survive restarts *)
   mutable n_requests : int;
-  mutable n_tunes : int;  (* tune ops that ran the search *)
   mutable n_tune_hits : int;  (* tune ops answered from the result cache *)
   mutable n_lookups : int;
   mutable n_errors : int;
@@ -105,8 +102,8 @@ let ( let* ) = Result.bind
 
 (* A cached tune result is an ordinary store entry: outcome carries the
    tuned MFLOPS, params a small JSON object with the rest of the reply.
-   Reusing the probe journal means sharding, replica refresh, eviction,
-   compaction and statistics all apply to results for free. *)
+   Reusing the probe journal means sharding, eviction, compaction and
+   statistics all apply to results for free. *)
 let decode_result (outcome, params, _prov) =
   match outcome with
   | Store.Timed { mflops; _ } -> (
@@ -241,53 +238,36 @@ let apply_bounds t =
     in
     if dropped > 0 then logf t "evicted %d entries" dropped
 
-(* Whole-tune single flight, mirroring Shard_store.cached: concurrent
-   cold tunes of the same request run the search once.  (Probe-level
-   single flight alone would dedup the probes but still replay the
-   line-search bookkeeping per client.) *)
-let rec tune_shared t (a : Proto.tune_args) cfgm context compiled key =
+let count_tune_hit t =
+  Mutex.lock t.mu;
+  t.n_tune_hits <- t.n_tune_hits + 1;
+  Mutex.unlock t.mu
+
+(* Whole-tune single flight, over Shard_store.cached's probe-level one:
+   concurrent cold tunes of the same request run the search once.
+   (Probe-level single flight alone would dedup the probes but still
+   replay the line-search bookkeeping per client.)  A caller that
+   joined another's flight got a cached answer: an [Ok] one is a hit. *)
+let tune_shared t (a : Proto.tune_args) cfgm context compiled key =
   match lookup_result t key with
   | Some r ->
-    Mutex.lock t.mu;
-    t.n_tune_hits <- t.n_tune_hits + 1;
-    Mutex.unlock t.mu;
+    count_tune_hit t;
     Ok r
   | None ->
-    Mutex.lock t.mu;
-    (match Hashtbl.find_opt t.tune_flight key with
-    | Some c ->
-      let rec wait () =
-        match c.result with
-        | Some r ->
-          (match r with
-          | Ok _ -> t.n_tune_hits <- t.n_tune_hits + 1
-          | Error _ -> ());
-          Mutex.unlock t.mu;
-          Result.map (fun (r : Proto.tune_reply) -> { r with Proto.hit = true }) r
-        | None ->
-          if not (Hashtbl.mem t.tune_flight key) then begin
-            Mutex.unlock t.mu;
-            tune_shared t a cfgm context compiled key
-          end
-          else begin
-            Condition.wait t.cv t.mu;
-            wait ()
-          end
-      in
-      wait ()
-    | None ->
-      let c = { result = None } in
-      Hashtbl.add t.tune_flight key c;
-      t.n_tunes <- t.n_tunes + 1;
-      Mutex.unlock t.mu;
-      let r = compute_tune t a cfgm context compiled key in
-      Mutex.lock t.mu;
-      c.result <- Some r;
-      Hashtbl.remove t.tune_flight key;
-      Condition.broadcast t.cv;
-      Mutex.unlock t.mu;
+    let led = ref false in
+    let r =
+      Ifko_util.Memo.coalesce t.tunes key (fun () ->
+          led := true;
+          compute_tune t a cfgm context compiled key)
+    in
+    if !led then begin
       if Result.is_ok r then apply_bounds t;
-      r)
+      r
+    end
+    else begin
+      if Result.is_ok r then count_tune_hit t;
+      Result.map (fun (r : Proto.tune_reply) -> { r with Proto.hit = true }) r
+    end
 
 let do_tune t a =
   let* cfgm, context, compiled, key = resolve a in
@@ -304,20 +284,20 @@ let do_lookup t a =
 
 let stat_fields t =
   let s = Shard_store.stat t.store in
+  let tunes = Ifko_util.Memo.stats t.tunes in
   Mutex.lock t.mu;
   let ckpt_stats = Hashtbl.fold (fun _ c acc -> Ckpt.stats c :: acc) t.ckpts [] in
   let server =
     [ ("uptime_s", Json.N (Float.max 0.0 (t.clock () -. t.started)));
       ("requests", Json.N (float_of_int t.n_requests));
-      ("tunes", Json.N (float_of_int t.n_tunes));
+      ("tunes", Json.N (float_of_int tunes.Ifko_util.Memo.misses));
       ("tune_hits", Json.N (float_of_int t.n_tune_hits));
       ("lookups", Json.N (float_of_int t.n_lookups));
       ("errors", Json.N (float_of_int t.n_errors));
-      ("inflight_tunes", Json.N (float_of_int (Hashtbl.length t.tune_flight)));
+      ("inflight_tunes", Json.N (float_of_int tunes.Ifko_util.Memo.running));
       ("connections", Json.N (float_of_int t.active));
       ("jobs", Json.N (float_of_int t.cfg.jobs));
       ("shards", Json.N (float_of_int (Shard_store.shard_count t.store)));
-      ("replica", Json.B t.cfg.replica);
     ]
   in
   Mutex.unlock t.mu;
@@ -334,10 +314,10 @@ let stat_fields t =
       ("transients_loaded", Json.N (sum (fun st -> st.Ckpt.transients_loaded)));
     ]
   in
-  let cc = Codecache.stats t.codecache in
+  let cc = Ifko_util.Memo.stats t.codecache in
   let code =
-    [ ("hits", Json.N (float_of_int cc.Codecache.hits));
-      ("misses", Json.N (float_of_int cc.Codecache.misses));
+    [ ("hits", Json.N (float_of_int cc.Ifko_util.Memo.hits));
+      ("misses", Json.N (float_of_int cc.Ifko_util.Memo.misses));
     ]
   in
   [ ("store", Json.O (Shard_store.stat_fields s));
@@ -467,8 +447,7 @@ let listen_name = function
 
 let run ?(clock = Unix.gettimeofday) ?(ready = ignore) config =
   let store =
-    Shard_store.open_ ~shards:config.shards ~replica:config.replica ~clock
-      config.store_dir
+    Shard_store.open_ ~shards:config.shards ~clock config.store_dir
   in
   let pool =
     if config.jobs <= 1 then None
@@ -488,11 +467,10 @@ let run ?(clock = Unix.gettimeofday) ?(ready = ignore) config =
       stopping = false;
       active = 0;
       conns = Hashtbl.create 16;
-      tune_flight = Hashtbl.create 16;
-      codecache = Codecache.create ();
+      tunes = Ifko_util.Memo.create ();
+      codecache = Ifko_util.Memo.create ();
       ckpts = Hashtbl.create 4;
       n_requests = 0;
-      n_tunes = 0;
       n_tune_hits = 0;
       n_lookups = 0;
       n_errors = 0;
@@ -500,9 +478,8 @@ let run ?(clock = Unix.gettimeofday) ?(ready = ignore) config =
   in
   let listen_fd = bind_listen config.listen in
   Unix.listen listen_fd 64;
-  logf t "listening on %s (%d shards, jobs=%d%s)" (listen_name config.listen)
-    (Shard_store.shard_count store) config.jobs
-    (if config.replica then ", replica" else "");
+  logf t "listening on %s (%d shards, jobs=%d)" (listen_name config.listen)
+    (Shard_store.shard_count store) config.jobs;
   ready ();
   (* select-then-accept: the self-pipe makes shutdown from another
      thread reliable (no race against a parked accept), and the

@@ -5,6 +5,8 @@
     in-flight tunes multiplexed onto one sharded probe store
     ({!Shard_store}) and one shared domain pool, with whole-tune results
     cached as store entries under {!Ifko_store.Store.tune_key}.
+    Concurrent identical tunes coalesce into one search
+    ({!Ifko_util.Memo.coalesce}).
 
     Determinism contract: a [tune] reply is bit-identical to a local,
     sequential, storeless {!Ifko_search.Driver.tune} of the same
@@ -19,14 +21,13 @@ type config = {
   store_dir : string;  (** shard directory, created on first run *)
   shards : int;  (** only used when creating the directory *)
   jobs : int;  (** shared domain pool size; 1 = no pool *)
-  replica : bool;  (** several daemons share [store_dir] *)
   max_bytes : int option;  (** whole-store eviction budget *)
   max_age : float option;  (** seconds; older entries are evictable *)
   log : string -> unit;  (** one line per event; [ignore] to silence *)
 }
 
 val default_config : store_dir:string -> listen -> config
-(** 8 shards, jobs 1, no replica, no bounds, silent. *)
+(** 8 shards, jobs 1, no bounds, silent. *)
 
 val machine_of : string -> (Ifko_machine.Config.t, string) result
 (** ["p4e" | "opteron"]. *)
@@ -45,9 +46,6 @@ val run : ?clock:(unit -> float) -> ?ready:(unit -> unit) -> config -> unit
     Shutdown is graceful: the listener closes first, every connection
     finishes the request it is processing and is then half-closed, and
     [run] returns when the last connection thread exits (Unix socket
-    path unlinked, store and pool released).
-
-    In a replica group, configure eviction bounds on {e one} daemon
-    only: compaction rewrites journals in place, which is safe against
-    concurrent [O_APPEND] writers only when a single process compacts
-    (see DESIGN.md §13). *)
+    path unlinked, store and pool released).  The daemon owns its
+    store directory: eviction and compaction rewrite journals in
+    place. *)

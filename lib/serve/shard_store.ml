@@ -1,10 +1,10 @@
 (* Key-prefix-sharded probe store: N independent Store journals in one
-   directory, each with its own mutex, so concurrent writers (the
-   daemon's in-flight tunes, or several replica daemons) never contend
-   on a single journal.  Keys are hex MD5 digests, so the first byte is
-   uniform and `first_byte mod shards` balances the shards.
+   directory, each with its own mutex, so the daemon's concurrent
+   in-flight tunes never contend on a single journal.  Keys are hex MD5
+   digests, so the first byte is uniform and `first_byte mod shards`
+   balances the shards.
 
-   On top of the shards sits a single-flight table: when several
+   On top of the shards sits a single-flight memo: when several
    concurrent tunes miss on the *same* key, one computes and the rest
    wait for its result instead of duplicating the (expensive) probe.
 
@@ -19,18 +19,14 @@
 module Store = Ifko_store.Store
 module Json = Store.Json
 
-type cell = { mutable outcome : Store.outcome option }
-
 type t = {
   dir : string;
-  replica : bool;
   shards : Store.t array;
-  mu : Mutex.t;  (* guards counters and the flight table *)
-  cv : Condition.t;
-  flight : (string, cell) Hashtbl.t;
-  mutable hit_count : int;
-  mutable miss_count : int;
-  mutable join_count : int;  (* cached calls answered by joining a flight *)
+  flight : (string, Store.outcome) Ifko_util.Memo.t;
+      (* [cached] calls that missed the journal; the journal keeps the
+         outcome, so the memo only coalesces overlapping misses *)
+  lookup_hits : int Atomic.t;  (* journal hits, by [find_entry] or [cached] *)
+  lookup_misses : int Atomic.t;  (* [find_entry] misses *)
 }
 
 let meta_file dir = Filename.concat dir "store.meta"
@@ -59,7 +55,7 @@ let write_meta dir ~shards =
     ^ "\n");
   close_out oc
 
-let open_ ?seed ?(shards = 8) ?(replica = false) ?clock dir =
+let open_ ?seed ?(shards = 8) ?clock dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
   else if not (Sys.is_directory dir) then
     invalid_arg (Printf.sprintf "Shard_store.open_: %s exists and is not a directory" dir);
@@ -73,14 +69,10 @@ let open_ ?seed ?(shards = 8) ?(replica = false) ?clock dir =
   in
   {
     dir;
-    replica;
     shards = Array.init shards (fun i -> Store.open_ ?seed ?clock (shard_file dir i));
-    mu = Mutex.create ();
-    cv = Condition.create ();
-    flight = Hashtbl.create 32;
-    hit_count = 0;
-    miss_count = 0;
-    join_count = 0;
+    flight = Ifko_util.Memo.create ();
+    lookup_hits = Atomic.make 0;
+    lookup_misses = Atomic.make 0;
   }
 
 let close t = Array.iter Store.close t.shards
@@ -100,26 +92,9 @@ let shard_index t key =
 
 let shard t key = t.shards.(shard_index t key)
 
-let count_hit t hit =
-  Mutex.lock t.mu;
-  if hit then t.hit_count <- t.hit_count + 1 else t.miss_count <- t.miss_count + 1;
-  Mutex.unlock t.mu
-
-(* Replica mode: a miss may just mean another daemon journaled the
-   entry after we loaded — fold in the journal's new lines and retry
-   once before conceding the miss. *)
-let find_entry_nocount t ~key =
-  let sh = shard t key in
-  match Store.find_entry sh ~key with
-  | Some _ as r -> r
-  | None when t.replica ->
-    Store.refresh sh;
-    Store.find_entry sh ~key
-  | None -> None
-
 let find_entry t ~key =
-  let r = find_entry_nocount t ~key in
-  count_hit t (r <> None);
+  let r = Store.find_entry (shard t key) ~key in
+  Atomic.incr (if Option.is_some r then t.lookup_hits else t.lookup_misses);
   r
 
 let find t ~key = Option.map (fun (o, _, _) -> o) (find_entry t ~key)
@@ -128,72 +103,26 @@ let add t ~key ~params ~prov outcome = Store.add (shard t key) ~key ~params ~pro
 
 (* Read-only fold over every shard in index order (each shard folds in
    sorted-key order), so the scan is deterministic for a given set of
-   entries regardless of which daemon appended them. *)
+   entries regardless of append order. *)
 let fold_entries t ~init ~f =
   Array.fold_left (fun acc sh -> Store.fold_entries sh ~init:acc ~f) init t.shards
 
-(* Single-flight memoization: the first misser of a key computes it,
-   concurrent missers of the same key block until the leader finishes
-   and share its outcome.  If the leader dies, one waiter takes over
-   (recursing re-checks the store first, so nothing is lost).  This is
-   what makes N clients tuning the same cold kernel cost one tune. *)
-let rec cached t ~key ~params ~prov f =
-  match find_entry_nocount t ~key with
+(* The first misser of a key computes and journals it; concurrent
+   missers of the same key share its outcome (Memo.coalesce), and if it
+   raises, one of them takes over.  This is what makes N clients tuning
+   the same cold kernel cost one tune. *)
+let cached t ~key ~params ~prov f =
+  match Store.find_entry (shard t key) ~key with
   | Some (o, _, _) ->
-    count_hit t true;
+    Atomic.incr t.lookup_hits;
     o
   | None ->
-    Mutex.lock t.mu;
-    (match Hashtbl.find_opt t.flight key with
-    | Some c ->
-      t.join_count <- t.join_count + 1;
-      let rec wait () =
-        match c.outcome with
-        | Some o ->
-          t.hit_count <- t.hit_count + 1;
-          Mutex.unlock t.mu;
-          o
-        | None ->
-          if not (Hashtbl.mem t.flight key) then begin
-            (* leader failed; take over *)
-            Mutex.unlock t.mu;
-            cached t ~key ~params ~prov f
-          end
-          else begin
-            Condition.wait t.cv t.mu;
-            wait ()
-          end
-      in
-      wait ()
-    | None ->
-      let c = { outcome = None } in
-      Hashtbl.add t.flight key c;
-      t.miss_count <- t.miss_count + 1;
-      Mutex.unlock t.mu;
-      let finish () =
-        Hashtbl.remove t.flight key;
-        Condition.broadcast t.cv
-      in
-      (match f () with
-      | exception e ->
-        Mutex.lock t.mu;
-        finish ();
-        Mutex.unlock t.mu;
-        raise e
-      | o ->
+    Ifko_util.Memo.coalesce t.flight key (fun () ->
+        let o = f () in
         add t ~key ~params ~prov o;
-        Mutex.lock t.mu;
-        c.outcome <- Some o;
-        finish ();
-        Mutex.unlock t.mu;
-        o))
+        o)
 
-let hits t = t.hit_count
-let misses t = t.miss_count
-let joins t = t.join_count
 let entries t = Array.fold_left (fun acc sh -> acc + Store.entries sh) 0 t.shards
-
-let refresh t = if t.replica then Array.iter Store.refresh t.shards
 
 let compact t = Array.iter Store.compact t.shards
 
@@ -264,9 +193,8 @@ let ckpt_stats_of_dir dir =
 let stat t =
   let shards = Array.to_list (Array.map Store.stat t.shards) in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 shards in
-  Mutex.lock t.mu;
-  let hits = t.hit_count and misses = t.miss_count and joins = t.join_count in
-  Mutex.unlock t.mu;
+  (* a join counts as a hit, a flight leader as a miss *)
+  let fl = Ifko_util.Memo.stats t.flight in
   {
     sh_dir = t.dir;
     sh_shards = shards;
@@ -274,9 +202,9 @@ let stat t =
     sh_bytes = sum (fun s -> s.Store.st_bytes);
     sh_corrupt = sum (fun s -> s.Store.st_corrupt);
     sh_torn = sum (fun s -> s.Store.st_torn);
-    sh_hits = hits;
-    sh_misses = misses;
-    sh_joins = joins;
+    sh_hits = Atomic.get t.lookup_hits + fl.Ifko_util.Memo.hits;
+    sh_misses = Atomic.get t.lookup_misses + fl.Ifko_util.Memo.misses;
+    sh_joins = fl.Ifko_util.Memo.joins;
     sh_ckpts = ckpt_stats_of_dir t.dir;
   }
 

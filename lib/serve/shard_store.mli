@@ -9,24 +9,16 @@
     of the [?shards] argument, so keys keep hashing to the journal that
     holds them.
 
-    On top of the shards sits a single-flight table: concurrent
+    On top of the shards sits an {!Ifko_util.Memo}: concurrent
     {!cached} misses on the same key coalesce into one computation
-    whose outcome all callers share.
-
-    In [replica] mode several daemon processes share one directory:
-    every journal write is a single complete [O_APPEND] line (see
-    {!Ifko_store.Store}), and a lookup miss triggers an incremental
-    re-read of the shard's journal tail before the miss is conceded.
-    Compaction/eviction in a replica group must be serialized through
-    one designated writer — see DESIGN.md §13. *)
+    whose outcome all callers share, and the journal keeps it. *)
 
 module Store = Ifko_store.Store
 
 type t
 
 val open_ :
-  ?seed:int -> ?shards:int -> ?replica:bool -> ?clock:(unit -> float) ->
-  string -> t
+  ?seed:int -> ?shards:int -> ?clock:(unit -> float) -> string -> t
 (** [open_ dir] creates [dir] if needed.  [shards] (default 8, clamped
     to 1..256) only matters when the directory is new; an existing
     [store.meta] wins.  [clock] stamps new entries for age-bounded
@@ -40,8 +32,7 @@ val shard_count : t -> int
 
 val find : t -> key:string -> Store.outcome option
 val find_entry : t -> key:string -> (Store.outcome * string * string) option
-(** Outcome, params, provenance.  Both count one hit or miss, and in
-    replica mode retry after refreshing the key's shard. *)
+(** Outcome, params, provenance.  Both count one hit or miss. *)
 
 val add : t -> key:string -> params:string -> prov:string -> Store.outcome -> unit
 
@@ -58,22 +49,14 @@ val fold_entries :
 val cached :
   t -> key:string -> params:string -> prov:string ->
   (unit -> Store.outcome) -> Store.outcome
-(** Memoize through the store with single-flight semantics: a hit (or a
-    completed concurrent flight) returns the stored outcome; the first
-    misser runs [f], journals the outcome, and wakes every waiter.  If
-    the leader raises, the exception propagates to it alone and one
-    waiter takes over the computation. *)
-
-val hits : t -> int
-val misses : t -> int
-val joins : t -> int
-(** Calls answered by joining another caller's in-flight computation. *)
+(** Memoize through the store with single-flight semantics
+    ({!Ifko_util.Memo.coalesce}): a hit returns the stored outcome; the
+    first misser runs [f], journals the outcome, and hands it to every
+    caller that missed meanwhile (a join, counted as a hit).  If the
+    leader raises, the exception propagates to it alone and one waiter
+    takes over the computation. *)
 
 val entries : t -> int
-
-val refresh : t -> unit
-(** Replica mode only (no-op otherwise): fold in lines other processes
-    appended to every shard since it was last read. *)
 
 val compact : t -> unit
 (** Rewrite every shard's journal to one line per live key. *)
@@ -97,8 +80,8 @@ type stat = {
   sh_bytes : int;
   sh_corrupt : int;
   sh_torn : int;
-  sh_hits : int;
-  sh_misses : int;
+  sh_hits : int;  (** journal hits plus {!cached} joins *)
+  sh_misses : int;  (** {!find_entry} misses plus {!cached} computations *)
   sh_joins : int;
   sh_ckpts : ckpt_stat list;  (** sorted by machine name *)
 }

@@ -44,13 +44,13 @@ type t = {
          to the snapshots (%.17g round-trips every finite double), so a
          daemon restart does not repay every candidate's companion
          rate window; guarded by the same store.meta as the snapshots *)
-  int_memo : (string, int) Hashtbl.t;
+  ints : (string, int) Ifko_util.Memo.t;
       (* session-only derived ints (the sampled timer's window-lo page
          geometry), keyed by kernel fingerprint *)
-  masters : (string, Env.master) Hashtbl.t;
+  masters : (string, Env.master) Ifko_util.Memo.t;
       (* session-only pristine environment images, keyed by
          (kernel, element count) — see Env.capture *)
-  mutex : Mutex.t;
+  mutex : Mutex.t;  (* guards [tbl], [transients] and every counter *)
   mutable n_hit : int;  (* answered from memory *)
   mutable n_disk : int;  (* answered from a persisted snapshot *)
   mutable n_miss : int;  (* fresh warm-ups *)
@@ -162,8 +162,8 @@ let create ?dir ~cfg () =
       geometry;
       tbl = Hashtbl.create 16;
       transients = Hashtbl.create 16;
-      int_memo = Hashtbl.create 8;
-      masters = Hashtbl.create 8;
+      ints = Ifko_util.Memo.create ();
+      masters = Ifko_util.Memo.create ();
       mutex = Mutex.create ();
       n_hit = 0;
       n_disk = 0;
@@ -225,17 +225,19 @@ let save_file t path entry =
    one exists, otherwise run [warm] (which must leave [ms] fully warmed
    and returns the metadata float to store alongside) and capture it.
    Returns the entry's metadata.  Thread-safe: probe pools share one
-   Ckpt across domains.  Concurrent misses on the same key may both run
-   [warm] — warm-up is deterministic, so last-write-wins is benign. *)
+   Ckpt across domains, so the counters move under the mutex (the
+   daemon's [stat] reads them while tunes run).  Concurrent misses on
+   the same key may both run [warm] — warm-up is deterministic, so
+   last-write-wins is benign. *)
 let with_state t ~key ms ~warm =
   let cached =
-    Mutex.lock t.mutex;
-    let c = Hashtbl.find_opt t.tbl key in
-    Mutex.unlock t.mutex;
-    match c with
-    | Some entry ->
-        t.n_hit <- t.n_hit + 1;
-        Some entry
+    match
+      Mutex.protect t.mutex (fun () ->
+          let c = Hashtbl.find_opt t.tbl key in
+          if Option.is_some c then t.n_hit <- t.n_hit + 1;
+          c)
+    with
+    | Some _ as c -> c
     | None -> (
         match file_of t key with
         | None -> None
@@ -244,10 +246,9 @@ let with_state t ~key ms ~warm =
             else
               match load_file t path with
               | Some entry ->
-                  t.n_disk <- t.n_disk + 1;
-                  Mutex.lock t.mutex;
-                  Hashtbl.replace t.tbl key entry;
-                  Mutex.unlock t.mutex;
+                  Mutex.protect t.mutex (fun () ->
+                      t.n_disk <- t.n_disk + 1;
+                      Hashtbl.replace t.tbl key entry);
                   Some entry
               | None -> None))
   in
@@ -256,12 +257,11 @@ let with_state t ~key ms ~warm =
       Memsys.restore ms snap;
       meta
   | None ->
-      t.n_miss <- t.n_miss + 1;
       let meta = warm ms in
       let entry = (Memsys.snapshot ms, meta) in
-      Mutex.lock t.mutex;
-      Hashtbl.replace t.tbl key entry;
-      Mutex.unlock t.mutex;
+      Mutex.protect t.mutex (fun () ->
+          t.n_miss <- t.n_miss + 1;
+          Hashtbl.replace t.tbl key entry);
       (match file_of t key with None -> () | Some path -> save_file t path entry);
       meta
 
@@ -282,45 +282,19 @@ let set_transient t ~key v =
 (* concurrent misses on one key both compute the same deterministic
    value, so last-write-wins is benign — same argument as with_state *)
 
-(* The two session-only memos below share the deterministic-value
-   argument: [f] is a pure function of the key, so racing computations
-   agree and last-write-wins loses nothing.  [f] runs outside the lock
-   (it builds environments). *)
-let int_memo t ~key f =
-  Mutex.lock t.mutex;
-  let v = Hashtbl.find_opt t.int_memo key in
-  Mutex.unlock t.mutex;
-  match v with
-  | Some v -> v
-  | None ->
-      let v = f () in
-      Mutex.lock t.mutex;
-      Hashtbl.replace t.int_memo key v;
-      Mutex.unlock t.mutex;
-      v
-
-let master_memo t ~key f =
-  Mutex.lock t.mutex;
-  let v = Hashtbl.find_opt t.masters key in
-  Mutex.unlock t.mutex;
-  match v with
-  | Some m -> m
-  | None ->
-      let m = f () in
-      Mutex.lock t.mutex;
-      Hashtbl.replace t.masters key m;
-      Mutex.unlock t.mutex;
-      m
+let int_memo t ~key f = Ifko_util.Memo.find_or_compute t.ints key f
+let master_memo t ~key f = Ifko_util.Memo.find_or_compute t.masters key f
 
 let stats t =
-  {
-    hits = t.n_hit;
-    disk_loads = t.n_disk;
-    misses = t.n_miss;
-    invalidated = t.n_inval;
-    transient_hits = t.n_thit;
-    transient_misses = t.n_tmiss;
-    transients_loaded = t.n_tload;
-  }
+  Mutex.protect t.mutex (fun () ->
+      {
+        hits = t.n_hit;
+        disk_loads = t.n_disk;
+        misses = t.n_miss;
+        invalidated = t.n_inval;
+        transient_hits = t.n_thit;
+        transient_misses = t.n_tmiss;
+        transients_loaded = t.n_tload;
+      })
 
 let geometry_digest t = t.geometry

@@ -50,7 +50,9 @@ val with_state :
     keeps room for warm-up-time measurements).  Per-candidate scalars
     belong in {!find_transient}/{!set_transient}, never here: one
     tune's probe points share a snapshot while running different code.
-    Safe to share across domains. *)
+    Safe to share across domains; concurrent misses on one key may each
+    run [warm] (deterministic, so last-write-wins is benign), and each
+    completed call counts exactly one hit, disk load or miss. *)
 
 val find_transient : t -> key:string -> float option
 (** Look up a per-(warm state, compiled code) scalar — the sampled
@@ -68,16 +70,18 @@ val set_transient : t -> key:string -> float -> unit
     concurrent writers racing on one key are benign. *)
 
 val int_memo : t -> key:string -> (unit -> int) -> int
-(** Session-only memo for derived integers (the sampled timer's
-    per-kernel window page geometry, which otherwise costs an
+(** Session-only {!Ifko_util.Memo} for derived integers (the sampled
+    timer's per-kernel window page geometry, which otherwise costs an
     environment build per measurement).  [f] must be a pure function
-    of [key]; it runs outside the lock, and racing computations are
-    benign. *)
+    of [key]; concurrent misses run it once. *)
 
 val master_memo : t -> key:string -> (unit -> Env.master) -> Env.master
-(** Session-only memo for pristine environment images (see
+(** Session-only {!Ifko_util.Memo} for pristine environment images (see
     {!Env.capture}), keyed by (kernel fingerprint, element count).
     Same purity contract as {!int_memo}. *)
 
 val stats : t -> stats
+(** Counters are taken under the cache's lock, so a reader running
+    beside a domain pool sees every completed call. *)
+
 val geometry_digest : t -> string

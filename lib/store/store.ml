@@ -230,7 +230,6 @@ type t = {
   mutable miss_count : int;
   mutable corrupt_count : int;  (** unparseable complete lines *)
   mutable torn_count : int;  (** unparseable, newline-less trailing line *)
-  mutable loaded_bytes : int;  (** journal prefix already folded into [table] *)
   mutable next_seq : int;
   mutable header_seed : int option;
   mutable saw_header : bool;  (** a header line (even seedless) was loaded *)
@@ -281,17 +280,13 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Fold journal text from [from] into the table.  Complete lines that
-   do not parse are counted corrupt.  The trailing newline-less
-   fragment — what a crash (or, under replicas, a concurrent writer)
-   mid-append leaves — is handled per [torn]: [`Count] records it as
-   torn and consumes it, [`Leave] leaves it unconsumed so a later
-   {!refresh} can pick up the completed line.  Returns the number of
-   bytes consumed. *)
-let fold_lines t ~torn s from =
+(* Fold the journal into the table.  Complete lines that do not parse
+   are counted corrupt; a trailing newline-less fragment that does not
+   parse — what a crash mid-append leaves — is counted torn. *)
+let load_journal t =
+  let s = read_file t.store_path in
   let n = String.length s in
-  let pos = ref from in
-  let consumed = ref from in
+  let pos = ref 0 in
   let take line =
     if String.trim line <> "" then begin
       match Json.parse line with
@@ -316,28 +311,17 @@ let fold_lines t ~torn s from =
     match String.index_from_opt s !pos '\n' with
     | Some nl ->
       take (String.sub s !pos (nl - !pos));
-      pos := nl + 1;
-      consumed := !pos
+      pos := nl + 1
     | None ->
       (* newline-less tail *)
       let tail = String.sub s !pos (n - !pos) in
-      (match torn with
-      | `Count ->
-        if String.trim tail <> "" then begin
-          match Json.parse tail with
-          | exception Json.Bad -> t.torn_count <- t.torn_count + 1
-          | _ -> take tail (* complete record, the crash only ate the newline *)
-        end;
-        consumed := n
-      | `Leave -> ());
+      if String.trim tail <> "" then begin
+        match Json.parse tail with
+        | exception Json.Bad -> t.torn_count <- t.torn_count + 1
+        | _ -> take tail (* complete record, the crash only ate the newline *)
+      end;
       pos := n
-  done;
-  !consumed - from
-
-let load_journal t =
-  let s = read_file t.store_path in
-  let consumed = fold_lines t ~torn:`Count s 0 in
-  t.loaded_bytes <- consumed
+  done
 
 (* A crash mid-append can leave a torn line with no trailing newline;
    appending straight after it would glue the next record onto the torn
@@ -376,7 +360,6 @@ let open_ ?seed ?(clock = fun () -> 0.0) path =
       miss_count = 0;
       corrupt_count = 0;
       torn_count = 0;
-      loaded_bytes = 0;
       next_seq = 0;
       header_seed = None;
       saw_header = false;
@@ -452,8 +435,8 @@ let add t ~key ~params ~prov outcome =
   t.next_seq <- t.next_seq + 1;
   Hashtbl.replace t.table key e;
   let oc = append_channel t in
-  (* one write of one complete line: under O_APPEND this is what makes
-     several replica processes able to share a journal *)
+  (* one write of one complete line through an O_APPEND descriptor: a
+     crash can tear at most this trailing line *)
   output_string oc (entry_line key e ^ "\n");
   flush oc;
   Mutex.unlock t.mutex
@@ -468,29 +451,6 @@ let cached ?store ~key ~params ~prov f =
       let o = f () in
       add t ~key ~params ~prov o;
       o)
-
-(* Pick up records appended by other processes sharing the journal
-   (replica mode): parse any complete lines past the already-loaded
-   prefix.  A newline-less tail is left alone — it is another writer's
-   append in flight, not corruption — and re-examined next time.  A
-   file that shrank was compacted underneath us: reload it whole. *)
-let refresh t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      if not (Sys.file_exists t.store_path) then ()
-      else begin
-        let s = read_file t.store_path in
-        let len = String.length s in
-        if len < t.loaded_bytes then begin
-          Hashtbl.reset t.table;
-          t.loaded_bytes <- 0
-        end;
-        if len > t.loaded_bytes then
-          t.loaded_bytes <-
-            t.loaded_bytes + fold_lines t ~torn:`Leave s t.loaded_bytes
-      end)
 
 let hits t = t.hit_count
 let misses t = t.miss_count
@@ -524,8 +484,7 @@ let compact_locked t =
     (fun k -> output_string oc (entry_line k (Hashtbl.find t.table k) ^ "\n"))
     keys;
   close_out oc;
-  Sys.rename tmp t.store_path;
-  t.loaded_bytes <- file_bytes t.store_path
+  Sys.rename tmp t.store_path
 
 let compact t =
   Mutex.lock t.mutex;

@@ -11,11 +11,9 @@
     On disk the store is an append-only JSON-lines journal: one header
     line recording the schema version and workload seed, then one
     self-contained record per probed point.  Appends are a single
-    flushed write of one complete line under a mutex, so worker domains
-    can share one handle — and, because the file is opened with
-    [O_APPEND], several {e processes} can append to the same journal
-    (replica mode; see {!refresh}).  A crash mid-write leaves at most
-    one torn trailing line, which the loader tolerates (corrupt or
+    flushed write of one complete line under a mutex through an
+    [O_APPEND] descriptor, so worker domains can share one handle.  A
+    crash mid-write leaves at most one torn trailing line, which the loader tolerates (corrupt or
     truncated lines are counted and skipped, never fatal).  [compact]
     rewrites the journal with one record per key (last wins) via a temp
     file + atomic rename. *)
@@ -119,13 +117,6 @@ val cached : ?store:t -> key:string -> params:string -> prov:string ->
 (** [cached ?store ~key ... f] is [f ()] memoized through the store;
     with [?store] absent it is just [f ()]. *)
 
-val refresh : t -> unit
-(** Fold in any complete journal lines appended past the already-loaded
-    prefix — records written by {e other processes} sharing the file in
-    replica mode.  A trailing line still missing its newline is another
-    writer's append in flight and is left for the next refresh; a file
-    that shrank (compacted by another replica) is reloaded whole. *)
-
 val hits : t -> int
 (** [find]s answered from the store since [open_]. *)
 
@@ -149,8 +140,7 @@ val bytes : t -> int
 val compact : t -> unit
 (** Rewrite the journal as header + one line per key, atomically
     (temp file in the same directory, then rename).  Not safe while
-    another replica process is appending — serialize compaction through
-    one designated writer (the serve daemon does). *)
+    another process is appending to the same journal. *)
 
 val evict : ?max_bytes:int -> ?max_age:float -> now:float -> t -> int
 (** [evict ?max_bytes ?max_age ~now t] applies the retention policy and
@@ -158,8 +148,8 @@ val evict : ?max_bytes:int -> ?max_age:float -> now:float -> t -> int
     evicted.  [max_age] drops entries stamped before [now - max_age]
     (entries journaled without a timestamp count as arbitrarily old);
     [max_bytes] then drops oldest-first — ordered by (timestamp, load
-    order) — until the compacted journal would fit.  Same replica
-    caveat as {!compact}. *)
+    order) — until the compacted journal would fit.  Same caveat as
+    {!compact}. *)
 
 (** {2 Keys}
 

@@ -123,6 +123,29 @@ let test_key_content_addressing () =
   Alcotest.(check int) "two fresh warm-ups" 2 s.Ifko_sim.Ckpt.misses;
   Alcotest.(check int) "one memory hit" 1 s.Ifko_sim.Ckpt.hits
 
+(* A --jobs pool shares one Ckpt across domains, and the daemon's stat
+   reads its counters while tunes run: no call may go uncounted. *)
+let test_counters_across_domains () =
+  let c = Ifko_sim.Ckpt.create ~cfg () in
+  let key = Ifko_sim.Ckpt.key c ~kernel:"k" ~context:"in-L2" ~n:512 in
+  let calls = 10000 and started = Atomic.make 0 in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            let ms = Memsys.create cfg in
+            Atomic.incr started;
+            while Atomic.get started < 4 do
+              Domain.cpu_relax ()
+            done;
+            for _ = 1 to calls do
+              ignore (Ifko_sim.Ckpt.with_state c ~key ms ~warm:(warm_tagged 1.0) : float)
+            done))
+  in
+  List.iter Domain.join domains;
+  let s = Ifko_sim.Ckpt.stats c in
+  Alcotest.(check int) "every call counted once" (4 * calls)
+    (s.Ifko_sim.Ckpt.hits + s.Ifko_sim.Ckpt.disk_loads + s.Ifko_sim.Ckpt.misses)
+
 let test_disk_round_trip () =
   let dir = temp_dir () in
   Fun.protect
@@ -415,6 +438,7 @@ let suite =
     Alcotest.test_case "restore shape mismatch" `Quick test_restore_shape_mismatch;
     Alcotest.test_case "rebase time translation" `Quick test_rebase_translates;
     Alcotest.test_case "key content addressing" `Quick test_key_content_addressing;
+    Alcotest.test_case "counters across domains" `Quick test_counters_across_domains;
     Alcotest.test_case "disk round trip" `Quick test_disk_round_trip;
     Alcotest.test_case "geometry change invalidates" `Quick test_geometry_change_invalidates;
     Alcotest.test_case "stale meta invalidates" `Quick test_stale_meta_invalidates;

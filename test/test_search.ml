@@ -286,6 +286,7 @@ let test_store_invalidation_on_kernel_edit () =
 (* ---- the compile-once probe cache ---- *)
 
 module Codecache = Ifko_search.Codecache
+module Memo = Ifko_util.Memo
 
 let cc_result_tag = function
   | Codecache.Illegal -> "illegal"
@@ -293,7 +294,7 @@ let cc_result_tag = function
   | Codecache.Compiled _ -> "compiled"
 
 let test_codecache_dedup () =
-  let cc = Codecache.create () in
+  let cc : Codecache.t = Memo.create () in
   let k r = Codecache.key ~kernel:"dot-v1" ~machine:"P4E" ~params:r ~check:false ~seed:7 in
   Alcotest.(check bool) "check flag changes the key" false
     (Codecache.key ~kernel:"k" ~machine:"m" ~params:"p" ~check:true ~seed:7
@@ -305,25 +306,26 @@ let test_codecache_dedup () =
   let compute r () = incr runs; r in
   (* every result constructor is cached, including the failures — an
      illegal or test-failed point must not be re-attempted per probe *)
-  let r1 = Codecache.find_or_compile cc ~key:(k "a") (compute Codecache.Illegal) in
-  let r2 = Codecache.find_or_compile cc ~key:(k "a") (compute Codecache.Test_failed) in
+  let r1 = Memo.find_or_compute cc (k "a") (compute Codecache.Illegal) in
+  let r2 = Memo.find_or_compute cc (k "a") (compute Codecache.Test_failed) in
   Alcotest.(check string) "second probe of a hits the cache" (cc_result_tag r1) (cc_result_tag r2);
-  let r3 = Codecache.find_or_compile cc ~key:(k "b") (compute Codecache.Test_failed) in
+  let r3 = Memo.find_or_compute cc (k "b") (compute Codecache.Test_failed) in
   Alcotest.(check string) "distinct params compute fresh" "test-failed" (cc_result_tag r3);
   Alcotest.(check int) "two computations for two keys" 2 !runs;
-  let s = Codecache.stats cc in
-  Alcotest.(check int) "one hit" 1 s.Codecache.hits;
-  Alcotest.(check int) "two misses" 2 s.Codecache.misses;
+  let s = Memo.stats cc in
+  Alcotest.(check int) "one hit" 1 s.Memo.hits;
+  Alcotest.(check int) "two misses" 2 s.Memo.misses;
+  Alcotest.(check int) "no joins without concurrency" 0 s.Memo.joins;
   (* an exception (a pass-check failure must fail the tune) is never
      cached: the key is released and the next caller computes *)
-  (match Codecache.find_or_compile cc ~key:(k "c") (fun () -> failwith "pass check") with
+  (match Memo.find_or_compute cc (k "c") (fun () -> failwith "pass check") with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "compute exception must propagate");
-  let r4 = Codecache.find_or_compile cc ~key:(k "c") (compute Codecache.Illegal) in
+  let r4 = Memo.find_or_compute cc (k "c") (compute Codecache.Illegal) in
   Alcotest.(check string) "failed compute was not cached" "illegal" (cc_result_tag r4)
 
 let test_codecache_single_flight () =
-  let cc = Codecache.create () in
+  let cc : Codecache.t = Memo.create () in
   let key = Codecache.key ~kernel:"k" ~machine:"m" ~params:"p" ~check:false ~seed:0 in
   let runs = Atomic.make 0 in
   let compute () =
@@ -333,10 +335,14 @@ let test_codecache_single_flight () =
   in
   let domains =
     List.init 4 (fun _ ->
-        Domain.spawn (fun () -> Codecache.find_or_compile cc ~key compute))
+        Domain.spawn (fun () -> Memo.find_or_compute cc key compute))
   in
   let results = List.map Domain.join domains in
   Alcotest.(check int) "concurrent misses computed once" 1 (Atomic.get runs);
+  let s = Memo.stats cc in
+  Alcotest.(check int) "one miss" 1 s.Memo.misses;
+  Alcotest.(check int) "every other caller hit" 3 s.Memo.hits;
+  Alcotest.(check int) "no flight left running" 0 s.Memo.running;
   List.iter
     (fun r -> Alcotest.(check string) "every waiter sees the result" "test-failed" (cc_result_tag r))
     results
@@ -353,19 +359,19 @@ let test_driver_codecache_reuse () =
       compiled
   in
   let fresh = tune () in
-  let cc = Codecache.create () in
+  let cc = Memo.create () in
   let first = tune ~codecache:cc () in
-  let after_first = Codecache.stats cc in
+  let after_first = Memo.stats cc in
   let second = tune ~codecache:cc () in
-  let after_second = Codecache.stats cc in
+  let after_second = Memo.stats cc in
   Alcotest.(check params_t) "shared cache changes nothing (params)"
     fresh.Ifko_search.Driver.best_params second.Ifko_search.Driver.best_params;
   Alcotest.(check (float 0.0)) "shared cache changes nothing (rate)"
     fresh.Ifko_search.Driver.ifko_mflops second.Ifko_search.Driver.ifko_mflops;
   Alcotest.(check int) "a repeated tune compiles nothing new"
-    after_first.Codecache.misses after_second.Codecache.misses;
+    after_first.Memo.misses after_second.Memo.misses;
   Alcotest.(check bool) "a repeated tune hits for every candidate" true
-    (after_second.Codecache.hits >= after_first.Codecache.misses);
+    (after_second.Memo.hits >= after_first.Memo.misses);
   ignore first
 
 (* ---- strategies: bit-identity, determinism, warm starts ---- *)

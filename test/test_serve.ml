@@ -1,8 +1,8 @@
 (* Serve-daemon tests: protocol round-trips and malformed-request
-   rejection, the sharded store (persistence, single-flight, eviction,
-   replica reload-on-miss), and an end-to-end daemon on a Unix socket
-   with concurrent clients whose replies must be bit-identical to a
-   sequential, storeless Driver.tune. *)
+   rejection, the sharded store (persistence, single-flight, eviction),
+   and an end-to-end daemon on a Unix socket with concurrent clients
+   whose replies must be bit-identical to a sequential, storeless
+   Driver.tune. *)
 
 module Store = Ifko_store.Store
 module Json = Store.Json
@@ -145,7 +145,7 @@ let test_shard_persistence () =
         Alcotest.(check (float 0.0)) "value" (float_of_int i) mflops
       | _ -> Alcotest.fail "entry lost across reopen")
     keys;
-  Alcotest.(check int) "hits counted" 64 (Shard_store.hits st2);
+  Alcotest.(check int) "hits counted" 64 (Shard_store.stat st2).Shard_store.sh_hits;
   Shard_store.close st2;
   rm_rf dir
 
@@ -181,6 +181,12 @@ let test_shard_single_flight () =
         (r = Some (Store.Timed { mflops = 77.0; cycles = 0.0 })))
     results;
   Alcotest.(check int) "one journal entry" 1 (Shard_store.entries st);
+  (* the leader is the one miss; a join counts as a store hit *)
+  let s = Shard_store.stat st in
+  Alcotest.(check int) "one miss" 1 s.Shard_store.sh_misses;
+  Alcotest.(check int) "seven hits" 7 s.Shard_store.sh_hits;
+  Alcotest.(check bool) "joins are a subset of the hits" true
+    (s.Shard_store.sh_joins <= s.Shard_store.sh_hits);
   Shard_store.close st;
   rm_rf dir
 
@@ -223,52 +229,6 @@ let test_shard_eviction () =
     (s2.Shard_store.sh_bytes <= s.Shard_store.sh_bytes / 2);
   Shard_store.close st2;
   rm_rf dir
-
-let test_shard_replica_reload () =
-  let dir = tmp_dir "ifko_replica" in
-  let a = Shard_store.open_ ~shards:4 ~replica:true dir in
-  let b = Shard_store.open_ ~replica:true dir in
-  (* b opened before a wrote anything; the miss triggers a reload *)
-  let key = Store.digest [ "cross-process" ] in
-  Alcotest.(check bool) "cold miss" true (Shard_store.find b ~key = None);
-  Shard_store.add a ~key ~params:"p" ~prov:"a" (Store.Timed { mflops = 5.5; cycles = 0.0 });
-  (match Shard_store.find b ~key with
-  | Some (Store.Timed { mflops; _ }) ->
-    Alcotest.(check (float 0.0)) "reload-on-miss sees a's write" 5.5 mflops
-  | _ -> Alcotest.fail "replica miss not reloaded");
-  (* and the other direction *)
-  let key2 = Store.digest [ "other-way" ] in
-  Shard_store.add b ~key:key2 ~params:"" ~prov:"b" Store.Illegal;
-  Alcotest.(check bool) "a sees b's write" true
-    (Shard_store.find a ~key:key2 = Some Store.Illegal);
-  Shard_store.close a;
-  Shard_store.close b;
-  rm_rf dir
-
-let test_store_refresh_torn_tail () =
-  (* refresh must not consume a torn (in-flight) tail: once the
-     concurrent writer finishes the line, a later refresh loads it *)
-  let path = Filename.temp_file "ifko_refresh" ".jsonl" in
-  Sys.remove path;
-  let a = Store.open_ path in
-  let b = Store.open_ path in
-  let line =
-    "{\"k\":\"x\",\"o\":\"timed\",\"mflops\":1.5,\"cycles\":2,\"params\":\"\",\"prov\":\"\"}"
-  in
-  let half = String.length line / 2 in
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc (String.sub line 0 half);
-  flush oc;
-  Store.refresh b;
-  Alcotest.(check bool) "half-written line invisible" true (Store.find b ~key:"x" = None);
-  output_string oc (String.sub line half (String.length line - half) ^ "\n");
-  close_out oc;
-  Store.refresh b;
-  Alcotest.(check bool) "completed line visible after refresh" true
-    (Store.find b ~key:"x" = Some (Store.Timed { mflops = 1.5; cycles = 2.0 }));
-  Store.close a;
-  Store.close b;
-  Store.clear path
 
 (* ---------------- end-to-end daemon ---------------- *)
 
@@ -336,6 +296,14 @@ let check_against_reference src (r : Proto.tune_reply) ~n ~seed ~flops_per_n =
     = Int64.bits_of_float r.Proto.fko_mflops);
   Alcotest.(check int) "evaluations" t.Ifko_search.Driver.evaluations r.Proto.evaluations
 
+let stat_num fields obj k =
+  match List.assoc_opt obj fields with
+  | Some (Json.O o) -> (
+    match List.assoc_opt k o with
+    | Some (Json.N v) -> int_of_float v
+    | _ -> Alcotest.failf "stat field %s.%s missing" obj k)
+  | _ -> Alcotest.failf "stat object %s missing" obj
+
 let test_daemon_tune_deterministic () =
   let n = 600 and seed = 3 and flops_per_n = 2.0 in
   let args = { (Proto.default_args ~kernel:ddot_src) with Proto.n; seed } in
@@ -377,6 +345,18 @@ let test_daemon_tune_deterministic () =
       (match replies.(3) with
       | Some (Ok r) -> check_against_reference dasum_src r ~n ~seed ~flops_per_n
       | _ -> Alcotest.fail "dasum tune failed");
+      (* tune-level single flight: the three identical cold ddot tunes
+         ran one search between them (the fourth search is dasum's);
+         the other two ddot clients joined it or, arriving after it
+         landed, hit its journaled result *)
+      Client.with_client listen (fun c ->
+          match Client.stat c with
+          | Error e -> Alcotest.failf "stat failed: %s" e
+          | Ok fields ->
+            Alcotest.(check int) "one search per distinct request" 2
+              (stat_num fields "server" "tunes");
+            Alcotest.(check int) "identical tunes answered from the flight" 2
+              (stat_num fields "server" "tune_hits"));
       (* warm phase: lookup hits, tune comes back from the result cache *)
       Client.with_client listen (fun c ->
           (match Client.lookup c args with
@@ -432,14 +412,7 @@ let test_daemon_shared_compile_batch () =
           match Client.stat c with
           | Error e -> Alcotest.failf "stat failed: %s" e
           | Ok fields ->
-            let num obj k =
-              match List.assoc_opt obj fields with
-              | Some (Proto.Json.O o) -> (
-                match List.assoc_opt k o with
-                | Some (Proto.Json.N v) -> int_of_float v
-                | _ -> Alcotest.failf "stat field %s.%s missing" obj k)
-              | _ -> Alcotest.failf "stat object %s missing" obj
-            in
+            let num = stat_num fields in
             Alcotest.(check bool) "candidates were compiled" true
               (num "codecache" "misses" > 0);
             Alcotest.(check bool) "the sibling tune reused the batch" true
@@ -483,73 +456,6 @@ let test_daemon_protocol_errors () =
         | _ -> Alcotest.fail "connection unusable after bad lines");
         Unix.close fd)
 
-let test_daemon_replica_pair () =
-  (* two daemons, one store directory: what one computes, the other
-     serves from its result cache via reload-on-miss *)
-  let dir = tmp_dir "ifko_repl_store" in
-  let sock_a = tmp_dir "ifko_repl_a" ^ ".sock" in
-  let sock_b = tmp_dir "ifko_repl_b" ^ ".sock" in
-  let mk sock =
-    { (Server.default_config ~store_dir:dir (`Unix sock)) with
-      Server.replica = true;
-      shards = 2;
-      jobs = 1;
-    }
-  in
-  let spawn config =
-    let m = Mutex.create () and cv = Condition.create () and up = ref false in
-    let th =
-      Thread.create
-        (fun () ->
-          Server.run
-            ~ready:(fun () ->
-              Mutex.lock m;
-              up := true;
-              Condition.signal cv;
-              Mutex.unlock m)
-            config)
-        ()
-    in
-    Mutex.lock m;
-    while not !up do
-      Condition.wait cv m
-    done;
-    Mutex.unlock m;
-    th
-  in
-  let ta = spawn (mk sock_a) in
-  let tb = spawn (mk sock_b) in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun sock ->
-          try Client.with_client (`Unix sock) (fun c -> ignore (Client.shutdown c))
-          with _ -> ())
-        [ sock_a; sock_b ];
-      Thread.join ta;
-      Thread.join tb;
-      rm_rf dir)
-    (fun () ->
-      let n = 400 and seed = 1 in
-      let args = { (Proto.default_args ~kernel:ddot_src) with Proto.n; seed } in
-      let computed =
-        Client.with_client (`Unix sock_a) (fun c ->
-            match Client.tune c args with
-            | Ok r -> r
-            | Error e -> Alcotest.failf "tune on a failed: %s" e)
-      in
-      Alcotest.(check bool) "a computed it" false computed.Proto.hit;
-      Client.with_client (`Unix sock_b) (fun c ->
-          match Client.lookup c args with
-          | Ok (Some r) ->
-            Alcotest.(check bool) "b's lookup hit a's result" true r.Proto.hit;
-            Alcotest.(check string) "same best" computed.Proto.best r.Proto.best;
-            Alcotest.(check bool) "same bits" true
-              (Int64.bits_of_float computed.Proto.mflops
-              = Int64.bits_of_float r.Proto.mflops)
-          | Ok None -> Alcotest.fail "replica b missed a's result"
-          | Error e -> Alcotest.failf "lookup on b failed: %s" e))
-
 (* Warm starts through the daemon: tuning ddot journals a tune-level
    donor in the shard store; a warm-started surrogate tune of the
    related dasum then opens at ddot's adapted winner.  The reply must
@@ -570,7 +476,7 @@ let test_daemon_warm_start () =
       ~test:(Ifko_search.Generic.test compiled spec)
       compiled
   in
-  (* the local replica of the daemon's journal: ddot's surrogate winner
+  (* the local copy of the daemon's journal: ddot's surrogate winner
      as the one donor in the store *)
   let t_ddot = local ~strategy:Ifko_search.Driver.Surrogate ddot_src in
   let donor =
@@ -628,16 +534,12 @@ let suite =
     Alcotest.test_case "shards: persistence and geometry" `Quick test_shard_persistence;
     Alcotest.test_case "shards: single-flight dedup" `Quick test_shard_single_flight;
     Alcotest.test_case "shards: age and size eviction" `Quick test_shard_eviction;
-    Alcotest.test_case "shards: replica reload-on-miss" `Quick test_shard_replica_reload;
-    Alcotest.test_case "store: refresh skips torn tail" `Quick test_store_refresh_torn_tail;
     Alcotest.test_case "daemon: concurrent tunes bit-identical" `Quick
       test_daemon_tune_deterministic;
     Alcotest.test_case "daemon: shared compile batch" `Quick
       test_daemon_shared_compile_batch;
     Alcotest.test_case "daemon: protocol errors answered" `Quick
       test_daemon_protocol_errors;
-    Alcotest.test_case "daemon: replica pair shares results" `Quick
-      test_daemon_replica_pair;
     Alcotest.test_case "daemon: related kernels share warm starts" `Quick
       test_daemon_warm_start;
   ]

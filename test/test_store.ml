@@ -133,9 +133,9 @@ let test_corrupt_middle_line () =
   Store.close st2;
   Store.clear path
 
-(* The stat report splits skipped lines into the two classes a replica
+(* The stat report splits skipped lines into the two classes an
    operator needs to tell apart: mid-file corruption (data loss) and a
-   torn trailing line (a crash — or another writer — mid-append). *)
+   torn trailing line (a crash mid-append). *)
 let test_stat_torn_vs_corrupt () =
   let path = tmp_store () in
   let st = Store.open_ ~seed:5 path in

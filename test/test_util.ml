@@ -100,6 +100,113 @@ let test_bar () =
   Alcotest.(check string) "clamped" "##########" (Table.bar ~width:10 ~frac:3.0);
   Alcotest.(check string) "half" "#####     " (Table.bar ~width:10 ~frac:0.5)
 
+(* ---- Memo: the single-flight memo behind every in-process cache ---- *)
+
+(* Run [f i] on [n] threads released together, so their calls overlap
+   a computation that sleeps for a few tens of milliseconds. *)
+let race n f =
+  let started = Atomic.make 0 in
+  let results = Array.make n None in
+  let threads =
+    Array.init n (fun i ->
+        Thread.create
+          (fun () ->
+            Atomic.incr started;
+            while Atomic.get started < n do
+              Thread.yield ()
+            done;
+            results.(i) <- Some (try Ok (f i) with e -> Error e))
+          ())
+  in
+  Array.iter Thread.join threads;
+  Array.map Option.get results
+
+let test_memo_raising_leader () =
+  let m = Memo.create () in
+  let computes = Atomic.make 0 in
+  let compute () =
+    if Atomic.fetch_and_add computes 1 = 0 then begin
+      Thread.delay 0.05;
+      failwith "leader"
+    end
+    else begin
+      Thread.delay 0.02;
+      42
+    end
+  in
+  let results = race 4 (fun _ -> Memo.find_or_compute m "k" compute) in
+  let raised = Array.to_list results |> List.filter Result.is_error |> List.length in
+  Alcotest.(check int) "only the leader sees the exception" 1 raised;
+  Array.iter
+    (function
+      | Ok v -> Alcotest.(check int) "waiters get the retry's value" 42 v
+      | Error _ -> ())
+    results;
+  Alcotest.(check int) "exactly one waiter computed afresh" 2 (Atomic.get computes);
+  Alcotest.(check int) "the retry's value is kept" 42
+    (Memo.find_or_compute m "k" (fun () -> Alcotest.fail "recomputed a kept value"));
+  (* the exception itself is never cached *)
+  (match Memo.find_or_compute m "e" (fun () -> failwith "once") with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "exception must propagate");
+  Alcotest.(check int) "a raise leaves nothing behind" 7
+    (Memo.find_or_compute m "e" (fun () -> 7));
+  let s = Memo.stats m in
+  Alcotest.(check int) "misses count every computation" 4 s.Memo.misses;
+  Alcotest.(check int) "hits: two waiters and one kept lookup" 3 s.Memo.hits;
+  Alcotest.(check int) "no flight left running" 0 s.Memo.running
+
+let test_memo_coalesce_error () =
+  let m = Memo.create () in
+  let computes = Atomic.make 0 in
+  let compute () =
+    Atomic.incr computes;
+    Thread.delay 0.05;
+    Error "no such kernel"
+  in
+  let results = race 4 (fun _ -> Memo.coalesce m "k" compute) in
+  Array.iter
+    (function
+      | Ok r -> Alcotest.(check (result int string)) "every waiter gets the Error" (Error "no such kernel") r
+      | Error e -> raise e)
+    results;
+  Alcotest.(check int) "computed once" 1 (Atomic.get computes);
+  let s = Memo.stats m in
+  Alcotest.(check int) "three joins" 3 s.Memo.joins;
+  Alcotest.(check int) "joins are hits" 3 s.Memo.hits;
+  Alcotest.(check (result int string)) "a landed flight is not kept" (Ok 1)
+    (Memo.coalesce m "k" (fun () -> Ok 1))
+
+let test_memo_bound_spares_flights () =
+  let m = Memo.create () in
+  let go = Atomic.make false in
+  let leader =
+    Thread.create
+      (fun () ->
+        Memo.find_or_compute m (-1) (fun () ->
+            while not (Atomic.get go) do
+              Thread.delay 0.001
+            done;
+            "leader"))
+      ()
+  in
+  while (Memo.stats m).Memo.running = 0 do
+    Thread.delay 0.001
+  done;
+  (* fill the table past the bound: completed entries are dropped
+     wholesale, the running one must survive *)
+  for i = 0 to Memo.bound do
+    ignore (Memo.find_or_compute m i (fun () -> "filler"))
+  done;
+  let refills = ref 0 in
+  ignore (Memo.find_or_compute m 0 (fun () -> incr refills; "filler"));
+  Alcotest.(check int) "completed entries were dropped" 1 !refills;
+  let release = Thread.create (fun () -> Thread.delay 0.05; Atomic.set go true) () in
+  Alcotest.(check string) "a late caller still joins the flight" "leader"
+    (Memo.find_or_compute m (-1) (fun () -> "recomputed"));
+  Thread.join release;
+  Thread.join leader
+
 let suite =
   [ Alcotest.test_case "ids" `Quick test_ids;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
@@ -111,4 +218,7 @@ let suite =
     Alcotest.test_case "table render" `Quick test_table;
     Alcotest.test_case "table mismatch" `Quick test_table_mismatch;
     Alcotest.test_case "bar" `Quick test_bar;
+    Alcotest.test_case "memo raising leader" `Quick test_memo_raising_leader;
+    Alcotest.test_case "memo coalesce shares Error" `Quick test_memo_coalesce_error;
+    Alcotest.test_case "memo bound spares flights" `Quick test_memo_bound_spares_flights;
   ]
