@@ -885,27 +885,13 @@ let exp_searchbench () =
   let context = Ifko_sim.Timer.Out_of_cache in
   let n = if !quick then 800 else searchbench_n in
   let donor_n = if !quick then 400 else searchbench_donor_n in
-  (* same tester Eval builds: exact-ish against the reference on sizes
-     that exercise remainder loops *)
-  let make_test id =
-    let sizes = [ 0; 1; 5; 63; 64; 257 ] in
-    fun func ->
-      let cf = Ifko_sim.Exec.compile func in
-      List.for_all
-        (fun n ->
-          let env = Workload.make_env id ~seed:(seed + 1) n in
-          let expect = Workload.expectation id ~seed:(seed + 1) n in
-          let tol = Workload.tolerance id ~n in
-          Ifko_sim.Verify.check_compiled ~tol ~ret_fsize:id.Defs.prec cf env expect = Ok ())
-        sizes
-  in
   let tune ?strategy ?(warm_start = false) ?donors ?store id ~n =
     let compiled = Hil_sources.compile id in
     let spec = Workload.timer_spec id ~seed in
     Ifko_search.Driver.tune ?strategy ~warm_start ?donors ?store ~jobs:!jobs ~seed ~cfg
       ~context ~spec ~n
       ~flops_per_n:(Defs.flops_per_n id.Defs.routine)
-      ~test:(make_test id) compiled
+      ~test:(Ifko_eval.Eval.make_test id ~seed) compiled
   in
   (* donor phase: a line-search tune of every kernel at donor_n,
      journaled into a throwaway store — Driver.tune records a

@@ -31,17 +31,32 @@ type study = {
 }
 
 (* The tester used for every method: exact-ish comparison against the
-   reference implementation on sizes that exercise remainder loops. *)
+   reference implementation on sizes that exercise remainder loops.
+   Each size's expectation and pristine environment master are built
+   once per tester, on first use; candidates run in environments
+   materialized from the master and released afterwards. *)
 let make_test id ~seed =
   let sizes = [ 0; 1; 5; 63; 64; 257 ] in
+  let references = Ifko_util.Memo.create () in
+  let reference n =
+    Ifko_util.Memo.find_or_compute references n (fun () ->
+        let env = Workload.make_env id ~seed:(seed + 1) n in
+        let master = Ifko_sim.Env.capture env in
+        Ifko_sim.Env.release env;
+        (master, Workload.expectation id ~seed:(seed + 1) n))
+  in
   fun func ->
     let cf = Ifko_sim.Exec.compile func in
     List.for_all
       (fun n ->
-        let env = Workload.make_env id ~seed:(seed + 1) n in
-        let expect = Workload.expectation id ~seed:(seed + 1) n in
+        let master, expect = reference n in
         let tol = Workload.tolerance id ~n in
-        Ifko_sim.Verify.check_compiled ~tol ~ret_fsize:id.Defs.prec cf env expect = Ok ())
+        let env = Ifko_sim.Env.materialize master in
+        Fun.protect
+          ~finally:(fun () -> Ifko_sim.Env.release env)
+          (fun () ->
+            Ifko_sim.Verify.check_compiled ~tol ~ret_fsize:id.Defs.prec cf env expect
+            = Ok ()))
       sizes
 
 let time_func ?store ~kind ~prov ~seed ~cfg ~context ~spec ~n ~flops_per_n func =

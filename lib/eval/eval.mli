@@ -29,6 +29,14 @@ type study = {
   results : kernel_result list;
 }
 
+val make_test : Ifko_blas.Defs.kernel_id -> seed:int -> Cfg.func -> bool
+(** The tester every method's kernel must pass: results against
+    {!Ifko_blas.Ref_impl} on the [seed + 1] workload at sizes
+    {0, 1, 5, 63, 64, 257}, within {!Ifko_blas.Workload.tolerance}; a
+    trap fails the candidate.  Partial application prepares nothing;
+    each size's expectation and pristine environment are built once,
+    on first use, and candidates run in pooled environments. *)
+
 val run_study :
   ?kernels:Ifko_blas.Defs.kernel_id list ->
   ?progress:(string -> unit) ->

@@ -12,21 +12,32 @@ open Ifko_analysis
 (* Fold [Fld t, m; ...; Fop op d, a, t] into [Fopm op d, a, m] when [t]
    has exactly that one use in the block, is not live out, and neither
    [t] nor [m]'s address registers are redefined in between (stores in
-   between block the fold: they might alias [m]). *)
+   between block the fold: they might alias [m]).
+
+   Use counts come from one table per block, built in a single pass and
+   kept exact across folds (a fold retires the load's and the old
+   operation's uses and adds the folded operation's): every count
+   equals a rescan of the surviving instructions and the terminator,
+   but a long unrolled body is not rescanned once per load. *)
 let fold_loads (b : Block.t) live_out =
   let changed = ref false in
   let arr = Array.of_list b.Block.instrs in
   let n = Array.length arr in
   let killed = Array.make n false in
-  let uses_count r =
-    let c = ref 0 in
-    Array.iteri
-      (fun i instr ->
-        if not killed.(i) then
-          List.iter (fun u -> if Reg.equal u r then incr c) (Instr.uses instr))
-      arr;
-    List.iter (fun u -> if Reg.equal u r then incr c) (Block.term_uses b.Block.term);
-    !c
+  let uses = Hashtbl.create 64 in
+  let count d r =
+    Hashtbl.replace uses r (d + Option.value (Hashtbl.find_opt uses r) ~default:0)
+  in
+  Array.iter (fun instr -> List.iter (count 1) (Instr.uses instr)) arr;
+  List.iter (count 1) (Block.term_uses b.Block.term);
+  let uses_count r = Option.value (Hashtbl.find_opt uses r) ~default:0 in
+  let fold ~load ~at folded =
+    List.iter (count (-1)) (Instr.uses arr.(load));
+    List.iter (count (-1)) (Instr.uses arr.(at));
+    List.iter (count 1) (Instr.uses folded);
+    arr.(at) <- folded;
+    killed.(load) <- true;
+    changed := true
   in
   for i = 0 to n - 1 do
     if not killed.(i) then
@@ -51,14 +62,10 @@ let fold_loads (b : Block.t) live_out =
               match instr with
               | Instr.Fop (sz', op, d, a, u)
                 when (not vector) && sz' = sz && Reg.equal u t && not (Reg.equal a t) ->
-                arr.(j) <- Instr.Fopm (sz', op, d, a, m);
-                killed.(i) <- true;
-                changed := true
+                fold ~load:i ~at:j (Instr.Fopm (sz', op, d, a, m))
               | Instr.Vop (sz', op, d, a, u)
                 when vector && sz' = sz && Reg.equal u t && not (Reg.equal a t) ->
-                arr.(j) <- Instr.Vopm (sz', op, d, a, m);
-                killed.(i) <- true;
-                changed := true
+                fold ~load:i ~at:j (Instr.Vopm (sz', op, d, a, m))
               | instr ->
                 let blocked' =
                   clobbers || Instr.is_store instr

@@ -1,6 +1,10 @@
 (* The aggregated test runner: `dune runtest` executes every suite. *)
 
 let () =
+  if Array.length Sys.argv > 2 && Sys.argv.(1) = "--write-compile-golden" then begin
+    Test_golden.write Sys.argv.(2);
+    exit 0
+  end;
   Alcotest.run "ifko"
     [ ("util", Test_util.suite);
       ("hil", Test_hil.suite);
@@ -14,6 +18,7 @@ let () =
       ("ckpt", Test_ckpt.suite);
       ("exec-compiled", Test_exec_compiled.suite);
       ("transform", Test_transform.suite);
+      ("golden", Test_golden.suite);
       ("regalloc", Test_regalloc.suite);
       ("par", Test_par.suite);
       ("store", Test_store.suite);

@@ -634,6 +634,134 @@ let test_driver_warm_start () =
       Alcotest.(check int) "corrupt store: same probes-to-best"
         cold.Ifko_search.Driver.probes_to_best w.Ifko_search.Driver.probes_to_best)
 
+(* ---- the generic tester ---- *)
+
+(* Candidates for [Generic.test]: copies of the daxpy reference with
+   every instruction passed through [map] and [prologue] prepended to
+   the entry block. *)
+let axpy = Hil_sources.compile { Defs.routine = Defs.Axpy; prec = Instr.D }
+
+let variant ?(prologue = fun _ -> []) ?(map = Fun.id) (f : Cfg.func) =
+  let c = Cfg.copy f in
+  List.iter (fun b -> b.Block.instrs <- List.map map b.Block.instrs) c.Cfg.blocks;
+  let entry = Cfg.entry c in
+  entry.Block.instrs <- prologue c @ entry.Block.instrs;
+  c
+
+let param (f : Cfg.func) name = List.assoc name f.Cfg.params
+
+let miscompiled =
+  variant axpy.Ifko_codegen.Lower.func ~map:(function
+    | Instr.Fop (sz, Instr.Fadd, d, a, b) -> Instr.Fop (sz, Instr.Fsub, d, a, b)
+    | i -> i)
+
+(* loads 64 MB past X: beyond any tester environment's buffer *)
+let trapping =
+  variant axpy.Ifko_codegen.Lower.func ~prologue:(fun c ->
+      [ Instr.Ild (Cfg.fresh_reg c Reg.Gpr, Instr.mk_mem ~disp:(1 lsl 26) (param c "X")) ])
+
+(* A stray store past the arrays but inside the 1 MB buffer, and a
+   kernel that is correct only while that byte range reads zero: it
+   adds the word there to Y[0] before the loop. *)
+let stray = 600_000
+
+let stray_writer =
+  variant axpy.Ifko_codegen.Lower.func ~prologue:(fun c ->
+      let v = Cfg.fresh_reg c Reg.Xmm in
+      [ Instr.Fldi (Instr.D, v, 3.0); Instr.Fst (Instr.D, Instr.mk_mem ~disp:stray (param c "X"), v) ])
+
+let stray_reader =
+  variant axpy.Ifko_codegen.Lower.func ~prologue:(fun c ->
+      let v = Cfg.fresh_reg c Reg.Xmm and y = Cfg.fresh_reg c Reg.Xmm in
+      let y0 = Instr.mk_mem (param c "Y") in
+      [ Instr.Fld (Instr.D, v, Instr.mk_mem ~disp:stray (param c "X"));
+        Instr.Fld (Instr.D, y, y0);
+        Instr.Fop (Instr.D, Instr.Fadd, y, y, v);
+        Instr.Fst (Instr.D, y0, y);
+      ])
+
+let generic_tester () = Ifko_search.Generic.test axpy (Ifko_search.Generic.spec ~seed:3 axpy)
+
+let test_generic_verdicts () =
+  Alcotest.(check bool) "the mutation changed the code" false
+    (Cfg.to_string miscompiled = Cfg.to_string axpy.Ifko_codegen.Lower.func);
+  let test = generic_tester () in
+  Alcotest.(check bool) "reference passes" true (test axpy.Ifko_codegen.Lower.func);
+  Alcotest.(check bool) "Fadd -> Fsub rejected" false (test miscompiled);
+  Alcotest.(check bool) "trap rejected" false (test trapping);
+  let trapping_ref = { axpy with Ifko_codegen.Lower.func = trapping } in
+  let test_trapping_ref =
+    Ifko_search.Generic.test trapping_ref (Ifko_search.Generic.spec ~seed:3 trapping_ref)
+  in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check bool) ("reference traps: " ^ what ^ " rejected") false
+        (test_trapping_ref f))
+    [ ("correct kernel", axpy.Ifko_codegen.Lower.func); ("trapping kernel", trapping);
+      ("miscompiled kernel", miscompiled) ]
+
+(* Candidate environments come from a recycled pool; a stray store in
+   one must not leak into the next candidate's run. *)
+let test_generic_scrubs () =
+  let test = generic_tester () in
+  Alcotest.(check bool) "reader passes on clean memory" true (test stray_reader);
+  Alcotest.(check bool) "writer's arrays are right" true (test stray_writer);
+  Alcotest.(check bool) "reader after writer: same verdict" true (test stray_reader)
+
+let test_generic_concurrent () =
+  let candidates =
+    [ axpy.Ifko_codegen.Lower.func; miscompiled; trapping; stray_writer; stray_reader ]
+  in
+  let sequential = List.map (generic_tester ()) candidates in
+  let test = generic_tester () in
+  let rounds () = List.concat (List.init 3 (fun _ -> List.map test candidates)) in
+  let domains = List.init 4 (fun _ -> Domain.spawn rounds) in
+  List.iter
+    (fun d ->
+      Alcotest.(check (list bool)) "concurrent = sequential"
+        (List.concat [ sequential; sequential; sequential ])
+        (Domain.join d))
+    domains
+
+(* The reference runs once per size, on first use, never at build
+   time; a reference that raises keeps raising. *)
+let test_generic_lazy () =
+  let spec = Ifko_search.Generic.spec ~seed:3 axpy in
+  let envs = Atomic.make 0 in
+  let counting =
+    {
+      spec with
+      Ifko_sim.Timer.make_env =
+        (fun n ->
+          Atomic.incr envs;
+          spec.Ifko_sim.Timer.make_env n);
+    }
+  in
+  let test = Ifko_search.Generic.test axpy counting in
+  Alcotest.(check int) "building runs no reference" 0 (Atomic.get envs);
+  Alcotest.(check bool) "first candidate" true (test axpy.Ifko_codegen.Lower.func);
+  Alcotest.(check int) "one reference per size" 4 (Atomic.get envs);
+  Alcotest.(check bool) "second candidate" false (test miscompiled);
+  Alcotest.(check int) "references kept" 4 (Atomic.get envs);
+  let raising =
+    { spec with Ifko_sim.Timer.make_env = (fun _ -> failwith "no workload") }
+  in
+  let test = Ifko_search.Generic.test axpy raising in
+  for _ = 1 to 2 do
+    Alcotest.check_raises "raising reference raises at every call"
+      (Failure "no workload") (fun () -> ignore (test axpy.Ifko_codegen.Lower.func : bool))
+  done
+
+(* The BLAS tester shares the treatment: a correct kernel passes, a
+   miscompiled one fails, whichever order candidates arrive in. *)
+let test_eval_tester () =
+  let id = { Defs.routine = Defs.Axpy; prec = Instr.D } in
+  let test = Ifko_eval.Eval.make_test id ~seed:3 in
+  Alcotest.(check bool) "miscompiled first" false (test miscompiled);
+  Alcotest.(check bool) "reference passes" true (test axpy.Ifko_codegen.Lower.func);
+  Alcotest.(check bool) "trap rejected" false (test trapping);
+  Alcotest.(check bool) "miscompiled again" false (test miscompiled)
+
 let suite =
   [ Alcotest.test_case "space gating" `Quick test_space_gates;
     Alcotest.test_case "linesearch finds optimum" `Quick test_linesearch_finds_optimum;
@@ -652,4 +780,9 @@ let suite =
       test_surrogate_jobs_deterministic;
     Alcotest.test_case "warm-start donors" `Quick test_warmstart_donors;
     Alcotest.test_case "driver warm start" `Slow test_driver_warm_start;
+    Alcotest.test_case "generic tester verdicts" `Quick test_generic_verdicts;
+    Alcotest.test_case "generic tester scrubs pooled memory" `Quick test_generic_scrubs;
+    Alcotest.test_case "generic tester across domains" `Quick test_generic_concurrent;
+    Alcotest.test_case "generic tester is lazy" `Quick test_generic_lazy;
+    Alcotest.test_case "BLAS tester verdicts" `Quick test_eval_tester;
   ]

@@ -311,6 +311,73 @@ let test_peephole_no_fold_when_live () =
   ignore (Peephole.run f : bool);
   Alcotest.(check int) "three instrs stay" 3 (List.length b.Block.instrs)
 
+(* One-block function around [instrs]; returns the block after the
+   peephole pass. *)
+let peephole_block ?(params = [ ("A", gpr 0) ]) instrs term =
+  let b = Block.make "entry" ~instrs ~term in
+  let f = Cfg.create ~name:"t" ~params in
+  f.Cfg.blocks <- [ b ];
+  ignore (Peephole.run f : bool);
+  b
+
+let test_peephole_two_folds () =
+  let b =
+    peephole_block
+      [ Instr.Fld (Instr.D, xmm 1, mem (gpr 0));
+        Instr.Fop (Instr.D, Instr.Fmul, xmm 2, xmm 0, xmm 1);
+        Instr.Fld (Instr.D, xmm 3, mem ~disp:8 (gpr 0));
+        Instr.Fop (Instr.D, Instr.Fadd, xmm 4, xmm 2, xmm 3);
+      ]
+      (Block.Ret (Some (xmm 4)))
+  in
+  match b.Block.instrs with
+  | [ Instr.Fopm (_, Instr.Fmul, _, _, m1); Instr.Fopm (_, Instr.Fadd, _, _, m2) ] ->
+    Alcotest.(check (list int)) "both loads folded in order" [ 0; 8 ]
+      [ m1.Instr.disp; m2.Instr.disp ]
+  | _ -> Alcotest.fail "expected two folded operations"
+
+let test_peephole_term_use_blocks () =
+  (* the terminator reads the loaded register: it has two uses *)
+  let b =
+    peephole_block
+      [ Instr.Fld (Instr.D, xmm 1, mem (gpr 0));
+        Instr.Fop (Instr.D, Instr.Fmul, xmm 2, xmm 0, xmm 1);
+      ]
+      (Block.Fbr
+         { fsize = Instr.D; cmp = Instr.Lt; lhs = xmm 1; rhs = xmm 2; ifso = "entry";
+           ifnot = "entry" })
+  in
+  Alcotest.(check int) "load kept" 2 (List.length b.Block.instrs)
+
+let test_peephole_store_blocks () =
+  let b =
+    peephole_block ~params:[ ("A", gpr 0); ("B", gpr 5) ]
+      [ Instr.Fld (Instr.D, xmm 1, mem (gpr 0));
+        Instr.Fst (Instr.D, mem (gpr 5), xmm 0);
+        Instr.Fop (Instr.D, Instr.Fmul, xmm 2, xmm 0, xmm 1);
+      ]
+      (Block.Ret (Some (xmm 2)))
+  in
+  Alcotest.(check int) "store in the window keeps the load" 3 (List.length b.Block.instrs)
+
+let test_peephole_shared_base () =
+  (* folding the first load moves a use of g0 into the Fopm between the
+     second load and its use; the second fold must still happen *)
+  let b =
+    peephole_block
+      [ Instr.Fld (Instr.D, xmm 1, mem (gpr 0));
+        Instr.Fld (Instr.D, xmm 3, mem ~disp:8 (gpr 0));
+        Instr.Fop (Instr.D, Instr.Fmul, xmm 2, xmm 0, xmm 1);
+        Instr.Fop (Instr.D, Instr.Fadd, xmm 4, xmm 2, xmm 3);
+      ]
+      (Block.Ret (Some (xmm 4)))
+  in
+  match b.Block.instrs with
+  | [ Instr.Fopm (_, Instr.Fmul, _, _, m1); Instr.Fopm (_, Instr.Fadd, _, _, m2) ] ->
+    Alcotest.(check (list int)) "both folded through g0" [ 0; 8 ]
+      [ m1.Instr.disp; m2.Instr.disp ]
+  | _ -> Alcotest.fail "expected two folded operations"
+
 let test_branchopt () =
   let f = Cfg.create ~name:"t" ~params:[] in
   f.Cfg.blocks <-
@@ -357,6 +424,12 @@ let suite =
       Alcotest.test_case "faint code" `Quick test_faint_code;
       Alcotest.test_case "peephole folds loads" `Quick test_peephole_folds;
       Alcotest.test_case "peephole keeps live loads" `Quick test_peephole_no_fold_when_live;
+      Alcotest.test_case "peephole folds twice in a block" `Quick test_peephole_two_folds;
+      Alcotest.test_case "peephole respects terminator uses" `Quick
+        test_peephole_term_use_blocks;
+      Alcotest.test_case "peephole store blocks a fold" `Quick test_peephole_store_blocks;
+      Alcotest.test_case "peephole folds through a shared base" `Quick
+        test_peephole_shared_base;
       Alcotest.test_case "branch cleanup" `Quick test_branchopt;
       Alcotest.test_case "branch cleanup protection" `Quick test_branchopt_protect;
       Alcotest.test_case "pipeline emits physical code" `Quick test_pipeline_validates_physical;
